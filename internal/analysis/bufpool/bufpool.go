@@ -1,7 +1,7 @@
 // Package bufpool enforces the PR 9 hot-path memory discipline in the
-// engine package: pooled buffers must go back to their pool, and the
-// scatter-gather/vectored-write hot functions must not allocate byte
-// slices per call.
+// engine, collective and gateway packages: pooled buffers must go back
+// to their pool, and the hot functions must not allocate byte slices
+// per call.
 //
 // Two checks:
 //
@@ -33,8 +33,9 @@ import (
 	"ldplfs/internal/analysis"
 )
 
-// HotFuncs names the engine functions on the warm read/write path
-// whose per-call byte-slice allocations the alloc budgets forbid.
+// HotFuncs names the functions on the warm read/write paths (engine,
+// collective shuffle, gateway wire) whose per-call byte-slice
+// allocations the alloc budgets forbid.
 // Additions to the hot path belong here too.
 var HotFuncs = map[string]bool{
 	"scatterGather":  true,
@@ -53,6 +54,18 @@ var HotFuncs = map[string]bool{
 	"sortRefs":      true,
 	"flushArena":    true,
 	"fetchArena":    true,
+	// plfsd wire path: the in-place frame codec, the server's per-frame
+	// read/handle/reply loop and the client's round trips.
+	"ReadFrameHeader": true,
+	"ReadFrameInto":   true,
+	"BeginFrame":      true,
+	"EndFrame":        true,
+	"serveFrame":      true,
+	"handle":          true,
+	"send":            true,
+	"roundTrip":       true,
+	"Pread":           true,
+	"Pwrite":          true,
 }
 
 // Analyzer is the production instance.

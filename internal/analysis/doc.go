@@ -80,16 +80,25 @@
 //
 // # bufpool — pooled buffers return to their pool; hot paths don't allocate
 //
-// Invariant: in ldplfs/internal/plfs, every (*sync.Pool).Get is paired
-// in the same function with a Put — deferred directly or through a
-// releasing helper that contains the Put (the plan.release idiom) —
-// and the engine's hot functions (scatterGather, planBatches,
-// readBatch, failBatch, writeV, writeData, pwriteAll) never
-// make([]byte, ...) per call.
+// Invariant: in ldplfs/internal/plfs, ldplfs/internal/mpiio and the
+// plfsd wire path (ldplfs/internal/service and its client), every
+// (*sync.Pool).Get is paired in the same function with a Put —
+// deferred directly or through a releasing helper that contains the
+// Put (the plan.release idiom) — and the hot functions never
+// make([]byte, ...) per call: the engine's (scatterGather,
+// planBatches, readBatch, failBatch, writeV, writeData, pwriteAll),
+// the collective shuffle's (route, stageWrite, ...) and the wire
+// path's (ReadFrameHeader, ReadFrameInto, BeginFrame, EndFrame,
+// serveFrame, handle, send, roundTrip, Pread, Pwrite). A reusable
+// buffer that must grow does so in a named helper that reuses its
+// capacity (growFrame, growInts), not per call.
 //
 // History: the PR 9 zero-alloc rework moved the warm read/write paths
 // onto pooled plans and buffers, asserted by allocs-per-op budgets in
-// CI. Those budgets only watch the benchmarked paths; a leaked Get or
+// CI. The gateway's frame codec followed: requests and replies are
+// framed in place in pooled buffers, a read lands in the caller's
+// buffer, and TestGatewayWireAllocs holds a 256 KiB remote read and a
+// 64 KiB remote write under 4 KiB allocated per op. Those budgets only watch the benchmarked paths; a leaked Get or
 // a fresh buffer on an unbenchmarked branch silently degrades pooling
 // back to per-call heap churn. The analyzer is the rule's durable
 // form; the alloc budget is its spot check.

@@ -34,15 +34,22 @@ func NewWriter(fs posix.FS, path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: create dropping %s: %w", path, err)
 	}
-	w := &Writer{fs: fs, fd: fd}
+	if err := writeHeader(fs, fd); err != nil {
+		fs.Close(fd)
+		return nil, err
+	}
+	return &Writer{fs: fs, fd: fd}, nil
+}
+
+// writeHeader appends the magic/version header to an empty dropping.
+func writeHeader(fs posix.FS, fd int) error {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], Magic)
 	binary.LittleEndian.PutUint64(hdr[8:], version)
 	if _, err := fs.Write(fd, hdr[:]); err != nil {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: write header: %w", err)
+		return fmt.Errorf("index: write header: %w", err)
 	}
-	return w, nil
+	return nil
 }
 
 // Buffered returns the number of bytes of appended records not yet
@@ -106,10 +113,24 @@ func (w *Writer) Close() error {
 // trailing partial record (a flush that died mid-record, or a crashed
 // writer's torn tail) is truncated away first, so resumed appends stay
 // record-aligned instead of corrupting everything written after them.
+// A 0-byte dropping (its creator died between create and header write)
+// holds no entries, as ReadDropping reads it; it gets its header now.
 func OpenWriter(fs posix.FS, path string) (*Writer, error) {
 	fd, err := fs.Open(path, posix.O_RDWR|posix.O_APPEND, 0)
 	if err != nil {
 		return nil, fmt.Errorf("index: reopen dropping %s: %w", path, err)
+	}
+	st, err := fs.Fstat(fd)
+	if err != nil {
+		fs.Close(fd)
+		return nil, err
+	}
+	if st.Size == 0 {
+		if err := writeHeader(fs, fd); err != nil {
+			fs.Close(fd)
+			return nil, fmt.Errorf("index: reopen dropping %s: %w", path, err)
+		}
+		return &Writer{fs: fs, fd: fd}, nil
 	}
 	var hdr [headerSize]byte
 	if err := posix.ReadFull(fs, fd, hdr[:], 0); err != nil {
@@ -119,11 +140,6 @@ func OpenWriter(fs posix.FS, path string) (*Writer, error) {
 	if got := binary.LittleEndian.Uint64(hdr[0:]); got != Magic {
 		fs.Close(fd)
 		return nil, fmt.Errorf("index: reopen dropping %s: bad magic %#x", path, got)
-	}
-	st, err := fs.Fstat(fd)
-	if err != nil {
-		fs.Close(fd)
-		return nil, err
 	}
 	if torn := (st.Size - headerSize) % EntrySize; torn != 0 {
 		if err := fs.Ftruncate(fd, st.Size-torn); err != nil {
@@ -143,6 +159,11 @@ func OpenWriter(fs posix.FS, path string) (*Writer, error) {
 // weakened: a record is only promised once plfs_sync succeeded, and a
 // torn record by definition never did. Corruption inside whole records
 // is still caught by the per-record checksum.
+//
+// A 0-byte dropping holds no entries: NewWriter creates the file before
+// it writes the header, so a peer instance's just-created dropping is
+// legitimately empty for a moment. A tear inside the header (1 to
+// headerSize-1 bytes) is still an error.
 func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	fd, err := fs.Open(path, posix.O_RDONLY, 0)
 	if err != nil {
@@ -153,6 +174,9 @@ func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	st, err := fs.Fstat(fd)
 	if err != nil {
 		return nil, err
+	}
+	if st.Size == 0 {
+		return nil, nil
 	}
 	if st.Size < headerSize {
 		return nil, fmt.Errorf("index: dropping %s too short (%d bytes)", path, st.Size)

@@ -280,6 +280,74 @@ func TestDroppingRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDroppingEmptyVersusTornHeader pins the header rule both readers
+// share: a 0-byte dropping (created, header not yet written) holds no
+// entries, while a dropping torn inside its header is an error.
+func TestDroppingEmptyVersusTornHeader(t *testing.T) {
+	fs := posix.NewMemFS()
+	fd, _ := fs.Open("/empty", posix.O_CREAT|posix.O_WRONLY, 0o644)
+	fs.Close(fd)
+	if got, err := ReadDropping(fs, "/empty"); err != nil || len(got) != 0 {
+		t.Fatalf("ReadDropping(0 bytes) = %d entries, %v; want none, nil", len(got), err)
+	}
+	s, err := OpenDroppingStream(fs, "/empty", 0)
+	if err != nil {
+		t.Fatalf("OpenDroppingStream(0 bytes): %v", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("empty stream Len = %d", s.Len())
+	}
+	if _, ok, err := s.Next(); ok || err != nil {
+		t.Fatalf("empty stream Next = %v, %v", ok, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	full, err := NewWriter(fs, "/full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Close()
+	hdr := make([]byte, headerSize)
+	fd, _ = fs.Open("/full", posix.O_RDONLY, 0)
+	posix.ReadFull(fs, fd, hdr, 0)
+	fs.Close(fd)
+	for tear := 1; tear < headerSize; tear++ {
+		fd, _ := fs.Open("/torn", posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
+		fs.Write(fd, hdr[:tear])
+		fs.Close(fd)
+		if _, err := ReadDropping(fs, "/torn"); err == nil {
+			t.Fatalf("ReadDropping accepted a %d-byte header tear", tear)
+		}
+		if s, err := OpenDroppingStream(fs, "/torn", 0); err == nil {
+			s.Close()
+			t.Fatalf("OpenDroppingStream accepted a %d-byte header tear", tear)
+		}
+	}
+}
+
+// TestOpenWriterEmptyDropping pins the resume path for a dropping whose
+// creator died before writing the header: reopening writes the header
+// and the appended record reads back.
+func TestOpenWriterEmptyDropping(t *testing.T) {
+	fs := posix.NewMemFS()
+	fd, _ := fs.Open("/idx", posix.O_CREAT|posix.O_WRONLY, 0o644)
+	fs.Close(fd)
+	w, err := OpenWriter(fs, "/idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Entry{LogicalOffset: 3, Length: 4, Timestamp: 5, Pid: 6}
+	w.Append(e)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadDropping(fs, "/idx"); err != nil || len(got) != 1 || got[0] != e {
+		t.Fatalf("resumed empty dropping = %v, %v", got, err)
+	}
+}
+
 func TestDroppingSyncMidstream(t *testing.T) {
 	fs := posix.NewMemFS()
 	w, err := NewWriter(fs, "/idx")

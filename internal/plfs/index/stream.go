@@ -43,7 +43,8 @@ type DroppingStream struct {
 // OpenDroppingStream opens the index dropping at path for streaming,
 // validating its header. chunkRecords bounds the records buffered per
 // read (0 = DefaultStreamChunk). A trailing partial record is excluded,
-// exactly as ReadDropping excludes it.
+// exactly as ReadDropping excludes it, and a 0-byte dropping streams as
+// empty, as ReadDropping reads it.
 func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
 	if chunkRecords <= 0 {
 		chunkRecords = DefaultStreamChunk
@@ -56,6 +57,9 @@ func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingSt
 	if err != nil {
 		fs.Close(fd)
 		return nil, err
+	}
+	if st.Size == 0 {
+		return &DroppingStream{fs: fs, fd: fd, path: path, off: headerSize, end: headerSize, chunk: chunkRecords}, nil
 	}
 	if st.Size < headerSize {
 		fs.Close(fd)

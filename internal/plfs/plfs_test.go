@@ -518,3 +518,54 @@ func TestConcurrentWriters(t *testing.T) {
 		f.Close(uint32(r))
 	}
 }
+
+// TestPeerEmptyIndexDropping pins the cross-instance create race: a
+// peer instance's index dropping that exists but has no header yet (0
+// bytes) must read as holding no entries, so a second FS instance that
+// opens the container for write seeds its clock and writes normally.
+func TestPeerEmptyIndexDropping(t *testing.T) {
+	p, mem := newTestFS(t)
+	f, err := p.Open("/backend/c", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("first"), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(1); err != nil {
+		t.Fatal(err)
+	}
+	// The peer (pid 2) has created its droppings but not yet written
+	// the index header.
+	if err := posix.MkdirAll(mem, "/backend/c/hostdir.2", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dropping.data.2", "dropping.index.2"} {
+		fd, err := mem.Open("/backend/c/hostdir.2/"+name, posix.O_CREAT|posix.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Close(fd)
+	}
+
+	q := New(mem, Options{NumHostdirs: 4})
+	g, err := q.Open("/backend/c", posix.O_WRONLY, 3, 0)
+	if err != nil {
+		t.Fatalf("second instance open for write: %v", err)
+	}
+	if _, err := g.Write([]byte("SECOND"), 5, 3); err != nil {
+		t.Fatalf("second instance write: %v", err)
+	}
+	if err := g.Close(3); err != nil {
+		t.Fatal(err)
+	}
+	r, err := q.Open("/backend/c", posix.O_RDONLY, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close(4)
+	got := make([]byte, 11)
+	if n, err := r.Read(got, 0); err != nil || string(got[:n]) != "firstSECOND" {
+		t.Fatalf("read back %q, %v", got[:n], err)
+	}
+}

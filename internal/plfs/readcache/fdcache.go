@@ -68,9 +68,18 @@ func (r Ref) Release() {
 	r.c.mu.Lock()
 	r.e.refs--
 	closeNow := r.e.dead && r.e.refs == 0
+	var victims []int
+	if !r.e.dead && r.e.refs == 0 && len(r.c.entries) > r.c.max {
+		// The cap was exceeded while every entry was pinned; the
+		// last pin to go enforces it.
+		victims = r.c.evictLocked()
+	}
 	r.c.mu.Unlock()
 	if closeNow {
 		r.c.fs.Close(r.e.fd)
+	}
+	for _, v := range victims {
+		r.c.fs.Close(v)
 	}
 }
 
@@ -133,7 +142,8 @@ func (c *FDCache) AcquireRef(path string) (int, Ref, error) {
 // evictLocked enforces the cap: unreferenced entries are removed
 // oldest-first and their fds returned for closing. Entries pinned by
 // in-flight preads cannot be evicted, so the cache may transiently
-// exceed its cap under extreme fan-out. Caller holds c.mu.
+// exceed its cap under extreme fan-out; the release that unpins an
+// entry of an over-cap cache evicts again. Caller holds c.mu.
 func (c *FDCache) evictLocked() []int {
 	var victims []int
 	for len(c.entries) > c.max {

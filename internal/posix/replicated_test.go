@@ -189,6 +189,29 @@ func TestReplicaAllOwnersDead(t *testing.T) {
 	}
 }
 
+// TestReplicaReaddirLiveVerdict pins the verdict rule pathFirst and
+// mergedReaddir share: when no owner lists a directory, a live owner's
+// ENOENT beats a dead owner's EIO. (A missing openhosts/ directory —
+// git cannot carry empty ones — must read as absent, not as I/O loss.)
+func TestReplicaReaddirLiveVerdict(t *testing.T) {
+	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	if err := MkdirAll(s, "/c", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if owners := s.ReplicasFor("/c/openhosts"); len(owners) != 2 || owners[0] != 0 || owners[1] != 1 {
+		t.Fatalf("owners = %v, want [0 1]", owners)
+	}
+	faults[0].Kill() // first owner dark: EIO; second owner live: ENOENT
+	if _, err := s.Readdir("/c/openhosts"); !errors.Is(err, ENOENT) {
+		t.Fatalf("canonical readdir = %v, want ENOENT", err)
+	}
+	faults[0].Revive()
+	faults[1].Kill() // primary owner of hostdir.1 dark, secondary live
+	if _, err := s.Readdir("/c/hostdir.1"); !errors.Is(err, ENOENT) {
+		t.Fatalf("routed readdir = %v, want ENOENT", err)
+	}
+}
+
 // TestReplicaHedgedRead pins the hedge path deterministically: the
 // primary's read stalls behind a gate, the injected hedge timer fires
 // immediately, and the read completes byte-correct from the secondary

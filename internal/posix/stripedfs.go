@@ -1039,7 +1039,8 @@ func (s *StripedFS) Readdir(path string) ([]DirEntry, error) {
 // mergedReaddir merges listings across the scan backends, requiring at
 // least one of the owner backends to answer; other failures are
 // tolerated (a dead or partially-healed replica must not blind the
-// container walk).
+// container walk). When no owner answers, a live owner's verdict
+// (ENOENT, ...) beats a dead owner's EIO, as in pathFirst.
 func (s *StripedFS) mergedReaddir(path string, scan, owners []int) ([]DirEntry, error) {
 	isOwner := make(map[int]bool, len(owners))
 	for _, b := range owners {
@@ -1052,7 +1053,7 @@ func (s *StripedFS) mergedReaddir(path string, scan, owners []int) ([]DirEntry, 
 	for _, i := range scan {
 		list, err := s.backends[i].Readdir(path)
 		if err != nil {
-			if isOwner[i] && ownerErr == nil {
+			if isOwner[i] && (ownerErr == nil || (errors.Is(ownerErr, EIO) && !errors.Is(err, EIO))) {
 				ownerErr = err
 			}
 			continue

@@ -7,7 +7,9 @@ package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -19,11 +21,20 @@ import (
 // concurrent use; requests on one connection serialize (the protocol
 // is one frame in flight), so parallelism across ranks comes from one
 // Conn per rank — exactly one gateway session each.
+//
+// Framing is in place: each request is encoded into one reusable buffer
+// behind its reserved header, a write's data goes out vectored after it
+// with no staging copy, and a read's data lands straight in the
+// caller's buffer.
 type Conn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	wbuf []byte    // request encoder storage
+	rbuf []byte    // reply decoder storage (all ops but reads)
+	head [5]byte   // a read reply's header, then its status
+	vecs [2][]byte // a write request: encoded fields, then the data
+	vec  net.Buffers
 }
 
 // Dial connects to a gateway at addr and performs the Hello handshake
@@ -44,10 +55,12 @@ func Dial(addr, tenant string) (*Conn, error) {
 // New performs the Hello handshake over an existing connection (tests
 // use net.Pipe).
 func New(nc net.Conn, tenant string) (*Conn, error) {
-	c := &Conn{conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	var w service.WireWriter
+	c := &Conn{conn: nc, br: bufio.NewReader(nc)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(tenant)
-	r, err := c.roundTrip(service.OpHello, w.Payload())
+	r, err := c.roundTrip(&w, service.OpHello, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
@@ -65,18 +78,40 @@ func (c *Conn) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends one request frame and decodes the response status.
-// The returned reader is positioned after the status field.
-func (c *Conn) roundTrip(op byte, payload []byte) (service.WireReader, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := service.WriteFrame(c.bw, op, payload); err != nil {
+// begin starts a request frame in the connection's encoder buffer.
+// Caller holds c.mu.
+func (c *Conn) begin() service.WireWriter { return service.BeginFrame(c.wbuf) }
+
+// send patches the header of the request encoded in w and writes it,
+// with data (a write's payload) following in the same vectored write.
+// Caller holds c.mu.
+func (c *Conn) send(w *service.WireWriter, op byte, data []byte) error {
+	frame, err := w.EndFrame(op, len(data))
+	if err != nil {
+		return err
+	}
+	c.wbuf = frame
+	if len(data) == 0 {
+		_, err = c.conn.Write(frame)
+		return err
+	}
+	c.vecs = [2][]byte{frame, data}
+	c.vec = c.vecs[:]
+	_, err = c.vec.WriteTo(c.conn)
+	c.vecs = [2][]byte{} // keep no reference to the caller's data
+	return err
+}
+
+// roundTrip sends the request encoded in w (plus data) and decodes the
+// response status. The returned reader is positioned after the status
+// field and aliases the connection's decoder buffer, so it is valid
+// only while the caller holds c.mu.
+func (c *Conn) roundTrip(w *service.WireWriter, op byte, data []byte) (service.WireReader, error) {
+	if err := c.send(w, op, data); err != nil {
 		return service.WireReader{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return service.WireReader{}, err
-	}
-	f, err := service.ReadFrame(c.br)
+	f, buf, err := service.ReadFrameInto(c.br, c.rbuf)
+	c.rbuf = buf
 	if err != nil {
 		return service.WireReader{}, err
 	}
@@ -95,37 +130,65 @@ func (c *Conn) roundTrip(op byte, payload []byte) (service.WireReader, error) {
 
 // Open opens a path on the gateway (POSIX flags/mode).
 func (c *Conn) Open(path string, flags int, mode uint32) (int, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(path)
 	w.U32(uint32(flags))
 	w.U32(mode)
-	r, err := c.roundTrip(service.OpOpen, w.Payload())
+	r, err := c.roundTrip(&w, service.OpOpen, nil)
 	if err != nil {
 		return -1, err
 	}
 	return int(r.U32()), r.Err()
 }
 
-// Pread reads up to len(p) bytes at off into p.
+// Pread reads up to len(p) bytes at off into p. The reply's data is
+// read from the connection straight into p. A reply carrying more than
+// len(p) bytes is a protocol error that closes the connection.
 func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.U32(uint32(fd))
 	w.U64(uint64(off))
 	w.U32(uint32(len(p)))
-	r, err := c.roundTrip(service.OpRead, w.Payload())
+	if err := c.send(&w, service.OpRead, nil); err != nil {
+		return 0, err
+	}
+	op, n, err := service.ReadFrameHeader(c.br, c.head[:])
 	if err != nil {
 		return 0, err
 	}
-	return copy(p, r.Rest()), nil
+	if op != service.OpRead || n < 4 || n-4 > len(p) {
+		c.conn.Close()
+		return 0, fmt.Errorf("client: read reply op %d with %d payload bytes for a %d-byte buffer", op, n, len(p))
+	}
+	if _, err := io.ReadFull(c.br, c.head[:4]); err != nil {
+		return 0, err
+	}
+	if status := int32(binary.LittleEndian.Uint32(c.head[:4])); status != 0 {
+		if _, err := c.br.Discard(n - 4); err != nil {
+			return 0, err
+		}
+		return 0, service.ErrnoErr(status)
+	}
+	got, err := io.ReadFull(c.br, p[:n-4])
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return got, err
 }
 
-// Pwrite writes p at off.
+// Pwrite writes p at off. p goes out vectored behind the request's
+// fixed fields; it is not copied.
 func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.U32(uint32(fd))
 	w.U64(uint64(off))
-	w.Bytes(p)
-	r, err := c.roundTrip(service.OpWrite, w.Payload())
+	r, err := c.roundTrip(&w, service.OpWrite, p)
 	if err != nil {
 		return 0, err
 	}
@@ -133,26 +196,29 @@ func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
 }
 
 // Sync flushes the fd's droppings on the gateway.
-func (c *Conn) Sync(fd int) error {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	_, err := c.roundTrip(service.OpSync, w.Payload())
-	return err
-}
+func (c *Conn) Sync(fd int) error { return c.fdOp(service.OpSync, fd) }
 
 // CloseFd closes a remote fd.
-func (c *Conn) CloseFd(fd int) error {
-	var w service.WireWriter
+func (c *Conn) CloseFd(fd int) error { return c.fdOp(service.OpClose, fd) }
+
+// fdOp runs a request whose only field is an fd and whose reply is
+// only a status.
+func (c *Conn) fdOp(op byte, fd int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.U32(uint32(fd))
-	_, err := c.roundTrip(service.OpClose, w.Payload())
+	_, err := c.roundTrip(&w, op, nil)
 	return err
 }
 
 // Stat stats a remote path.
 func (c *Conn) Stat(path string) (posix.Stat, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(path)
-	r, err := c.roundTrip(service.OpStat, w.Payload())
+	r, err := c.roundTrip(&w, service.OpStat, nil)
 	if err != nil {
 		return posix.Stat{}, err
 	}
@@ -161,9 +227,11 @@ func (c *Conn) Stat(path string) (posix.Stat, error) {
 
 // Fstat stats a remote fd.
 func (c *Conn) Fstat(fd int) (posix.Stat, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.U32(uint32(fd))
-	r, err := c.roundTrip(service.OpFstat, w.Payload())
+	r, err := c.roundTrip(&w, service.OpFstat, nil)
 	if err != nil {
 		return posix.Stat{}, err
 	}
@@ -181,24 +249,31 @@ func decodeStat(r *service.WireReader) (posix.Stat, error) {
 
 // Truncate truncates a remote path.
 func (c *Conn) Truncate(path string, size int64) error {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(path)
 	w.U64(uint64(size))
-	_, err := c.roundTrip(service.OpTrunc, w.Payload())
+	_, err := c.roundTrip(&w, service.OpTrunc, nil)
 	return err
 }
 
 // Unlink removes a remote path.
 func (c *Conn) Unlink(path string) error {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(path)
-	_, err := c.roundTrip(service.OpUnlink, w.Payload())
+	_, err := c.roundTrip(&w, service.OpUnlink, nil)
 	return err
 }
 
 // Stats fetches the gateway's telemetry-plane snapshot, rendered.
 func (c *Conn) Stats() (string, error) {
-	r, err := c.roundTrip(service.OpStats, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
+	r, err := c.roundTrip(&w, service.OpStats, nil)
 	if err != nil {
 		return "", err
 	}
@@ -208,14 +283,16 @@ func (c *Conn) Stats() (string, error) {
 // Doctor runs the container health report for a mount path on the
 // gateway, optionally fixing what it finds.
 func (c *Conn) Doctor(path string, fix bool) (string, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.begin()
 	w.String(path)
 	if fix {
 		w.U8(1)
 	} else {
 		w.U8(0)
 	}
-	r, err := c.roundTrip(service.OpDoctor, w.Payload())
+	r, err := c.roundTrip(&w, service.OpDoctor, nil)
 	if err != nil {
 		return "", err
 	}

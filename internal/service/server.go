@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -78,186 +79,192 @@ func (s *Server) Close() error {
 }
 
 // handleConn speaks the frame protocol on one connection: a Hello
-// first, then a request/response loop until EOF or a protocol error.
+// first, then a request/response loop until EOF or a protocol error. A
+// first frame that is not a good Hello (wrong op, undeclared tenant) is
+// answered with its errno and the connection dropped.
 func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	var sess *Session
+	defer func() {
+		if sess != nil {
+			sess.End() // fds released
+		}
+	}()
+	for {
+		err := serveFrame(conn, br, func(f Frame, w *WireWriter) int32 {
+			if sess == nil {
+				var status int32
+				sess, status = s.hello(f, w)
+				return status
+			}
+			return s.handle(sess, f, w)
+		})
+		if err != nil || sess == nil {
+			return // EOF, corrupt stream or refused Hello: session ends
+		}
+	}
+}
 
-	// Hello: tenant string. Anything else (or an undeclared tenant) is
-	// answered with the errno and the connection dropped.
-	f, err := ReadFrame(br)
+// framePool holds frame buffers. The server decodes each request in
+// one and encodes each reply in another, so once the pool is warm a
+// frame costs no allocation however large its payload.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// replyHeadSize is the prefix every reply reserves: the frame header,
+// then the i32 status, patched in once the handler has run.
+const replyHeadSize = frameHeaderSize + 4
+
+// serveFrame reads one request into a pooled buffer, has handle append
+// the reply fields to a second pooled buffer behind the reserved header
+// and status, patches both and sends the reply in one write. handle
+// returns the status; a nonzero status replies with the status alone.
+// The request payload (an OpWrite's data included) aliases the pooled
+// buffer: it is valid only until handle returns, and handle must not
+// keep it.
+func serveFrame(out io.Writer, in io.Reader, handle func(Frame, *WireWriter) int32) error {
+	req := framePool.Get().(*[]byte)
+	defer framePool.Put(req)
+	f, buf, err := ReadFrameInto(in, *req)
+	*req = buf
 	if err != nil {
-		return
+		return err
 	}
+	rep := framePool.Get().(*[]byte)
+	defer framePool.Put(rep)
+	w := BeginFrame(*rep)
+	w.I32(0)
+	status := handle(f, &w)
+	if status != 0 {
+		w.buf = w.buf[:replyHeadSize]
+	}
+	binary.LittleEndian.PutUint32(w.buf[frameHeaderSize:], uint32(status))
+	frame, err := w.EndFrame(f.Op, 0)
+	*rep = w.buf
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(frame)
+	return err
+}
+
+// hello admits the connection's tenant and echoes its name. A nil
+// session comes with the status refusing the connection.
+func (s *Server) hello(f Frame, w *WireWriter) (*Session, int32) {
 	if f.Op != OpHello {
-		replyErr(bw, f.Op, posix.EINVAL)
-		bw.Flush()
-		return
+		return nil, einval
 	}
-	r := WireReader{buf: f.Payload}
+	r := NewWireReader(f.Payload)
 	tenant := r.String()
 	sess, err := s.g.NewSession(tenant)
 	if err != nil {
-		replyErr(bw, OpHello, posix.EPERM)
-		bw.Flush()
-		return
+		return nil, int32(posix.EPERM)
 	}
-	defer sess.End()
-	var w WireWriter
-	w.I32(0)
 	w.String(tenant)
-	if err := writeReply(bw, OpHello, w.buf); err != nil {
-		return
-	}
-
-	for {
-		f, err := ReadFrame(br)
-		if err != nil {
-			return // EOF or corrupt stream: session ends, fds released
-		}
-		reply := s.handleFrame(sess, f)
-		if err := writeReply(bw, f.Op, reply); err != nil {
-			return
-		}
-	}
+	return sess, 0
 }
 
-func writeReply(bw *bufio.Writer, op byte, payload []byte) error {
-	if err := WriteFrame(bw, op, payload); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+const einval = int32(posix.EINVAL)
 
-func replyErr(w io.Writer, op byte, errno posix.Errno) {
-	var b WireWriter
-	b.I32(int32(errno))
-	WriteFrame(w, op, b.buf)
-}
-
-// handleFrame executes one request and renders the response payload.
-// Malformed payloads answer EINVAL rather than killing the connection:
-// the framing layer is still intact, so the stream stays usable.
-func (s *Server) handleFrame(sess *Session, f Frame) []byte {
-	r := WireReader{buf: f.Payload}
-	var w WireWriter
+// handle executes one request, appending the reply fields to w, and
+// returns the status. Malformed payloads answer EINVAL rather than
+// killing the connection: the framing layer is still intact, so the
+// stream stays usable.
+func (s *Server) handle(sess *Session, f Frame, w *WireWriter) int32 {
+	r := NewWireReader(f.Payload)
 	switch f.Op {
 	case OpOpen:
 		path := r.String()
 		flags := r.U32()
 		mode := r.U32()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
 		fd, err := sess.Open(path, int(flags), mode)
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.U32(uint32(fd))
-		}
+		w.U32(uint32(fd))
+		return ErrnoOf(err)
 	case OpRead:
 		fd := r.U32()
 		off := r.U64()
 		n := r.U32()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil || n > MaxFramePayload-64 {
+			return einval
 		}
-		if n > MaxFramePayload-64 {
-			w.I32(int32(posix.EINVAL))
-			return w.buf
-		}
-		buf := make([]byte, n)
-		got, err := sess.Pread(int(fd), buf, int64(off))
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.Bytes(buf[:got])
-		}
+		// The data region of the reply is the read buffer: plfs fills
+		// it in place and the frame goes out as is.
+		data := w.extend(int(n))
+		got, err := sess.Pread(int(fd), data, int64(off))
+		w.buf = w.buf[:len(w.buf)-len(data)+got]
+		return ErrnoOf(err)
 	case OpWrite:
 		fd := r.U32()
 		off := r.U64()
 		data := r.Rest()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
 		n, err := sess.Pwrite(int(fd), data, int64(off))
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.U32(uint32(n))
-		}
+		w.U32(uint32(n))
+		return ErrnoOf(err)
 	case OpSync:
 		fd := r.U32()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
-		w.I32(ErrnoOf(sess.Sync(int(fd))))
+		return ErrnoOf(sess.Sync(int(fd)))
 	case OpClose:
 		fd := r.U32()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
-		w.I32(ErrnoOf(sess.Close(int(fd))))
+		return ErrnoOf(sess.Close(int(fd)))
 	case OpStat, OpFstat:
 		var st posix.Stat
 		var err error
 		if f.Op == OpStat {
 			path := r.String()
-			if bad(&r, &w) {
-				return w.buf
+			if r.Err() != nil {
+				return einval
 			}
 			st, err = sess.Stat(path)
 		} else {
 			fd := r.U32()
-			if bad(&r, &w) {
-				return w.buf
+			if r.Err() != nil {
+				return einval
 			}
 			st, err = sess.Fstat(int(fd))
 		}
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.U64(uint64(st.Size))
-			w.U32(st.Mode)
-		}
+		w.U64(uint64(st.Size))
+		w.U32(st.Mode)
+		return ErrnoOf(err)
 	case OpTrunc:
 		path := r.String()
 		size := r.U64()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
-		w.I32(ErrnoOf(sess.Truncate(path, int64(size))))
+		return ErrnoOf(sess.Truncate(path, int64(size)))
 	case OpUnlink:
 		path := r.String()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
-		w.I32(ErrnoOf(sess.Unlink(path)))
+		return ErrnoOf(sess.Unlink(path))
 	case OpStats:
 		text := s.g.StatsText()
-		w.I32(0)
 		if len(text) > MaxFramePayload-64 {
 			text = text[:MaxFramePayload-64]
 		}
-		w.Bytes([]byte(text))
+		w.buf = append(w.buf, text...)
+		return 0
 	case OpDoctor:
 		path := r.String()
 		fix := r.U8()
-		if bad(&r, &w) {
-			return w.buf
+		if r.Err() != nil {
+			return einval
 		}
 		report, err := sess.Doctor(path, fix != 0)
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.Bytes([]byte(report))
-		}
-	default:
-		w.I32(int32(posix.EINVAL))
+		w.buf = append(w.buf, report...)
+		return ErrnoOf(err)
 	}
-	return w.buf
-}
-
-// bad answers EINVAL for a payload the reader failed to decode.
-func bad(r *WireReader, w *WireWriter) bool {
-	if r.err == nil {
-		return false
-	}
-	w.I32(int32(posix.EINVAL))
-	return true
+	return einval
 }

@@ -57,6 +57,16 @@ var (
 	errFrameSize  = fmt.Errorf("service: frame exceeds %d bytes", MaxFramePayload)
 )
 
+// The frame codec works in place. Encoding reserves the header at the
+// front of a reusable buffer (BeginFrame), appends the payload fields
+// after it, and patches the length in last (WireWriter.EndFrame), so a
+// frame leaves in one write with no staging copy. Decoding reads the
+// header, rejects an oversize length before any payload byte is read,
+// and reads the payload into a caller-owned buffer (ReadFrameInto) —
+// or, for bulk data, straight into its destination (ReadFrameHeader,
+// then io.ReadFull). ParseFrame, AppendFrame, ReadFrame and WriteFrame
+// are the one-shot forms over the same header rules.
+
 // ParseFrame decodes one frame from the front of buf, returning the
 // frame and the bytes consumed. io.ErrUnexpectedEOF means buf holds a
 // truncated frame (read more); other errors mean the stream is corrupt.
@@ -64,44 +74,97 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < frameHeaderSize {
 		return Frame{}, 0, io.ErrUnexpectedEOF
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > MaxFramePayload {
-		return Frame{}, 0, errFrameSize
+	op, n, err := parseHeader(buf)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	total := frameHeaderSize + int(n)
+	total := frameHeaderSize + n
 	if len(buf) < total {
 		return Frame{}, 0, io.ErrUnexpectedEOF
 	}
-	return Frame{Op: buf[4], Payload: buf[frameHeaderSize:total]}, total, nil
+	return Frame{Op: op, Payload: buf[frameHeaderSize:total]}, total, nil
+}
+
+// parseHeader decodes a frame header, bounding the payload length.
+func parseHeader(hdr []byte) (op byte, n int, err error) {
+	size := binary.LittleEndian.Uint32(hdr)
+	if size > MaxFramePayload {
+		return 0, 0, errFrameSize
+	}
+	return hdr[4], int(size), nil
 }
 
 // AppendFrame appends the encoded frame to dst — the inverse of
 // ParseFrame.
 func AppendFrame(dst []byte, op byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	hdr[4] = op
-	return append(append(dst, hdr[:]...), payload...)
+	w := WireWriter{buf: append(dst, 0, 0, 0, 0, 0)}
+	w.Bytes(payload)
+	w.putHeader(len(dst), op, 0)
+	return w.buf
 }
 
-// ReadFrame reads one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+// ReadFrameHeader reads one frame header from r into hdr (5 bytes of
+// scratch) and returns the op and the payload length, which the caller
+// then reads from r. A length over
+// MaxFramePayload fails before any payload byte is read.
+func ReadFrameHeader(r io.Reader, hdr []byte) (op byte, n int, err error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeaderSize]); err != nil {
+		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFramePayload {
-		return Frame{}, errFrameSize
+	return parseHeader(hdr)
+}
+
+// frameGrowStep is the smallest growth of a decode buffer. A buffer
+// grows only as payload bytes arrive (at most doubling), so a header
+// that promises MaxFramePayload and then stalls costs the reader about
+// what it actually received, not the promise.
+const frameGrowStep = 64 << 10
+
+// ReadFrameInto reads one frame from r, decoding it in buf's storage:
+// the header is read into buf, then the payload over it. It returns the
+// frame and the buffer to reuse for the next frame (buf, or its growth).
+// The payload aliases that buffer and is valid until the buffer is
+// reused; the buffer never grows past MaxFramePayload.
+func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
+	buf = growFrame(buf[:0], frameHeaderSize)
+	op, n, err := ReadFrameHeader(r, buf[:frameHeaderSize])
+	if err != nil {
+		return Frame{}, buf, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = growFrame(buf, len(buf)+min(max(len(buf), frameGrowStep), n-len(buf)))
 		}
-		return Frame{}, err
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, buf, err
+		}
 	}
-	return Frame{Op: hdr[4], Payload: payload}, nil
+	return Frame{Op: op, Payload: buf}, buf, nil
+}
+
+// growFrame returns buf, keeping its contents, with capacity for n
+// bytes: as is when it has grown that far already (the warm pooled
+// case), else reallocated to exactly n so that capacity stays within
+// the frame bound.
+func growFrame(buf []byte, n int) []byte {
+	if cap(buf) >= n {
+		return buf
+	}
+	grown := make([]byte, len(buf), n)
+	copy(grown, buf)
+	return grown
+}
+
+// ReadFrame reads one frame from r into a fresh buffer.
+func ReadFrame(r io.Reader) (Frame, error) {
+	f, _, err := ReadFrameInto(r, nil)
+	return f, err
 }
 
 // WriteFrame writes one frame to w.
@@ -119,7 +182,43 @@ func WriteFrame(w io.Writer, op byte, payload []byte) error {
 // u16 length + bytes. The decoder is sticky-error so handlers can chain
 // reads and check once.
 
+// WireWriter encodes payload fields by appending them to its buffer.
+// Begun with BeginFrame, the buffer also holds the frame header in
+// front of the fields.
 type WireWriter struct{ buf []byte }
+
+// BeginFrame starts encoding a frame in buf's storage (its contents are
+// discarded): the header is reserved, and the WireWriter methods append
+// the payload after it.
+func BeginFrame(buf []byte) WireWriter {
+	return WireWriter{buf: append(buf[:0], 0, 0, 0, 0, 0)}
+}
+
+// EndFrame patches the header of a frame begun by BeginFrame and returns
+// the encoded bytes. extra counts payload bytes the caller sends right
+// after them without copying them in (a write's data, sent vectored).
+func (w *WireWriter) EndFrame(op byte, extra int) ([]byte, error) {
+	if len(w.buf)-frameHeaderSize+extra > MaxFramePayload {
+		return nil, errFrameSize
+	}
+	w.putHeader(0, op, extra)
+	return w.buf, nil
+}
+
+// putHeader fills the header reserved at buf[at:]: the payload is
+// everything after it plus extra.
+func (w *WireWriter) putHeader(at int, op byte, extra int) {
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-frameHeaderSize+extra))
+	w.buf[at+4] = op
+}
+
+// extend appends n bytes for the caller to fill in place (a read's
+// data) and returns them.
+func (w *WireWriter) extend(n int) []byte {
+	w.buf = growFrame(w.buf, len(w.buf)+n)
+	w.buf = w.buf[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
+}
 
 // Payload returns the encoded bytes accumulated so far.
 func (w *WireWriter) Payload() []byte { return w.buf }
